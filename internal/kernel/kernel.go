@@ -204,9 +204,21 @@ func NewWendlandC6() Kernel {
 
 // --- Sinc family -----------------------------------------------------------
 
+// maxExactPow bounds the integral sinc exponents (2 < n <= 16) evaluated by
+// powInt instead of math.Pow; see powInt for why the two agree bit for bit
+// up to it.
+const maxExactPow = 16
+
 // sincProfile returns the dimensionless sinc kernel profile of exponent n:
 // S_n(q) = [sin(pi q / 2) / (pi q / 2)]^n, defined on [0, 2].
+//
+// Integral exponents up to maxExactPow (SPHYNX's production n = 5 and every
+// registered scenario among them) take S^n and S^(n-1) by powInt, which is
+// bit-identical to math.Pow there at a fraction of its cost; any other
+// exponent keeps math.Pow.
 func sincProfile(n float64) (w, dw func(float64) float64) {
+	exact := n > 2 && n <= maxExactPow && n == math.Trunc(n)
+	ni := int(n)
 	w = func(q float64) float64 {
 		if q <= 0 {
 			return 1
@@ -216,6 +228,9 @@ func sincProfile(n float64) (w, dw func(float64) float64) {
 		if s <= 0 {
 			return 0
 		}
+		if exact {
+			return powInt(s, ni)
+		}
 		return math.Pow(s, n)
 	}
 	dw = func(q float64) float64 {
@@ -223,15 +238,42 @@ func sincProfile(n float64) (w, dw func(float64) float64) {
 			return 0
 		}
 		x := math.Pi * q / 2
-		s := math.Sin(x) / x
+		sin := math.Sin(x)
+		s := sin / x
 		if s <= 0 {
 			return 0
 		}
 		// d/dq S^n = n S^(n-1) dS/dq, dS/dq = (pi/2)(cos x / x - sin x / x^2)
-		ds := (math.Pi / 2) * (math.Cos(x)/x - math.Sin(x)/(x*x))
+		ds := (math.Pi / 2) * (math.Cos(x)/x - sin/(x*x))
+		if exact {
+			return n * powInt(s, ni-1) * ds
+		}
 		return n * math.Pow(s, n-1) * ds
 	}
 	return w, dw
+}
+
+// powInt returns s^n for n >= 1 by square-and-multiply over the bits of n,
+// lowest first: the multiplications math.Pow performs for an integral
+// exponent, in the same order. math.Pow applies them to the Frexp mantissa
+// of s and carries the binary exponent separately; scaling by a power of two
+// does not change a product's rounding as long as every product stays a
+// normal float. For the sinc profile s = sin(x)/x >= sin(Pi)/Pi ~ 3.9e-17
+// on q in (0, 2), so s^n stays normal (>= ~1e-265) for n <= maxExactPow and
+// powInt(s, n) == math.Pow(s, float64(n)) bit for bit. Outside that bound
+// (tiny s, large n) the two may differ in the last bit or in underflow.
+func powInt(s float64, n int) float64 {
+	r := 1.0
+	for {
+		if n&1 == 1 {
+			r *= s
+		}
+		n >>= 1
+		if n == 0 {
+			return r
+		}
+		s *= s
+	}
 }
 
 var sincCache sync.Map // map[float64]float64: exponent -> sigma

@@ -70,12 +70,11 @@ func MomentumEnergy(ps *part.Set, nl *NeighborList, p *Params) ForceStats {
 				rhoj := ps.Rho[j]
 				prj := ps.P[j] / (rhoj * rhoj)
 
-				// Kernel gradients: gradW_i points from i toward j along d,
-				// with magnitude |W'| (W' < 0 inside support).
-				dwi := k.GradW(r, hi1)
-				dwj := k.GradW(r, hj)
-
-				var ai, aj vec.V3 // gradient surrogates at h_i and h_j
+				// Gradient surrogates at h_i and h_j. Kernel gradients
+				// (-W'/r * d = |W'| dhat, from i toward j, W' < 0 inside
+				// support) are only evaluated on the branches that use them:
+				// with IAD on both sides, the common case, none is needed.
+				var ai, aj vec.V3
 				if iadOK {
 					wi := k.W(r, hi1)
 					ai = Ci.MulVec(d).Scale(wi)
@@ -84,12 +83,11 @@ func MomentumEnergy(ps *part.Set, nl *NeighborList, p *Params) ForceStats {
 						wj := k.W(r, hj)
 						aj = Cj.MulVec(d).Scale(wj)
 					} else {
-						aj = d.Scale(-dwj / r)
+						aj = d.Scale(-k.GradW(r, hj) / r)
 					}
 				} else {
-					// -W'/r * d = |W'| dhat: from i toward j.
-					ai = d.Scale(-dwi / r)
-					aj = d.Scale(-dwj / r)
+					ai = d.Scale(-k.GradW(r, hi1) / r)
+					aj = d.Scale(-k.GradW(r, hj) / r)
 				}
 
 				// Artificial viscosity (Monaghan & Gingold 1983): active for

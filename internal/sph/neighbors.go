@@ -58,6 +58,7 @@ func UpdateSmoothingLengths(ps *part.Set, tr *tree.Tree, p *Params) *NeighborLis
 		buf := make([]tree.Hit, 0, 2*p.NNeighbors)
 		for i := lo; i < hi; i++ {
 			h := ps.H[i]
+			converged := false
 			for iter := 0; iter < p.HMaxIter; iter++ {
 				buf = tr.BallSearch(ps.Pos[i], kernel.SupportRadius*h, buf[:0])
 				cnt := float64(len(buf) - 1) // exclude self
@@ -67,6 +68,7 @@ func UpdateSmoothingLengths(ps *part.Set, tr *tree.Tree, p *Params) *NeighborLis
 					continue
 				}
 				if math.Abs(cnt-target) <= p.HTolerance*target {
+					converged = true
 					break
 				}
 				// n scales as h^3 at fixed local density: fixed-point step
@@ -75,7 +77,12 @@ func UpdateSmoothingLengths(ps *part.Set, tr *tree.Tree, p *Params) *NeighborLis
 				h *= 0.5 * (1 + f)
 			}
 			ps.H[i] = h
-			buf = tr.BallSearch(ps.Pos[i], kernel.SupportRadius*h, buf[:0])
+			// A converged iteration already searched at the final h; only
+			// an iteration that ran out of steps updated h after its last
+			// search.
+			if !converged {
+				buf = tr.BallSearch(ps.Pos[i], kernel.SupportRadius*h, buf[:0])
+			}
 			// A non-finite particle (NaN position or h after a physics
 			// blowup) matches nothing, not even itself, making len(buf)-1
 			// negative; clamp to keep the CSR prefix sum monotone so the

@@ -3,6 +3,7 @@ package sph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/eos"
@@ -423,6 +424,40 @@ func BenchmarkMomentumEnergy32k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MomentumEnergy(ps, nl, p)
+	}
+}
+
+// TestUpdateSmoothingLengthsListMatchesRebuild: the list returned by the
+// h-iteration, whose converged particles reuse their last search, must be
+// exactly the list a fresh build at the final h produces: same offsets,
+// same neighbors, same order. HMaxIter 1 also runs the path where the
+// iteration stops short of the tolerance and has to search again.
+func TestUpdateSmoothingLengthsListMatchesRebuild(t *testing.T) {
+	for _, maxIter := range []int{0, 1} {
+		p := cubeParams(t)
+		if maxIter > 0 {
+			p.HMaxIter = maxIter
+		}
+		ps, pbc, box := ic.UniformCube(10, p.NNeighbors)
+		p.PBC, p.Box = pbc, box
+		rng := rand.New(rand.NewSource(9))
+		for i := 0; i < ps.NLocal; i++ {
+			// Jitter within the half-spacing, and spread h, so particles
+			// need differing numbers of iterations.
+			ps.Pos[i] = ps.Pos[i].Add(vec.V3{
+				X: rng.Float64() - 0.5, Y: rng.Float64() - 0.5, Z: rng.Float64() - 0.5,
+			}.Scale(0.09))
+			ps.H[i] *= 0.7 + 0.6*rng.Float64()
+		}
+		tr := BuildTree(ps, p)
+		got := UpdateSmoothingLengths(ps, tr, p)
+		want := BuildNeighborList(ps, tr, p)
+		if !slices.Equal(got.Offsets, want.Offsets) {
+			t.Fatalf("HMaxIter=%d: offsets differ from a rebuild at the final h", p.HMaxIter)
+		}
+		if !slices.Equal(got.Nbr, want.Nbr) {
+			t.Fatalf("HMaxIter=%d: neighbors differ from a rebuild at the final h", p.HMaxIter)
+		}
 	}
 }
 

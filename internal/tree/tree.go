@@ -251,52 +251,47 @@ func (t *Tree) BallSearch(center vec.V3, r float64, out []Hit) []Hit {
 	}
 	r2 := r * r
 	if t.pbc.None() {
-		return t.search(0, center, r, r2, vec.V3{}, out)
+		return t.search(0, center, r2, out)
 	}
-	// Enumerate periodic images whose shifted ball can intersect the domain.
-	offsets := t.imageOffsets(center, r)
-	for _, off := range offsets {
-		out = t.search(0, center.Add(off), r, r2, off, out)
-	}
-	return out
-}
-
-// imageOffsets returns the set of image shift vectors to search. The zero
-// offset is always included; along each periodic axis a ±L image is added
-// when the ball pokes out of the domain on that side.
-func (t *Tree) imageOffsets(center vec.V3, r float64) []vec.V3 {
-	xs := axisOffsets(t.pbc.X, center.X, r, t.Box.Lo.X, t.pbc.L.X)
-	ys := axisOffsets(t.pbc.Y, center.Y, r, t.Box.Lo.Y, t.pbc.L.Y)
-	zs := axisOffsets(t.pbc.Z, center.Z, r, t.Box.Lo.Z, t.pbc.L.Z)
-	out := make([]vec.V3, 0, len(xs)*len(ys)*len(zs))
-	for _, dx := range xs {
-		for _, dy := range ys {
-			for _, dz := range zs {
-				out = append(out, vec.V3{X: dx, Y: dy, Z: dz})
+	// Enumerate periodic images whose shifted ball can intersect the domain,
+	// x outermost and z innermost, the zero shift first along each axis.
+	// Fixed arrays keep this allocation-free: it runs once per search.
+	xs, nx := axisOffsets(t.pbc.X, center.X, r, t.Box.Lo.X, t.pbc.L.X)
+	ys, ny := axisOffsets(t.pbc.Y, center.Y, r, t.Box.Lo.Y, t.pbc.L.Y)
+	zs, nz := axisOffsets(t.pbc.Z, center.Z, r, t.Box.Lo.Z, t.pbc.L.Z)
+	for _, dx := range xs[:nx] {
+		for _, dy := range ys[:ny] {
+			for _, dz := range zs[:nz] {
+				out = t.search(0, center.Add(vec.V3{X: dx, Y: dy, Z: dz}), r2, out)
 			}
 		}
 	}
 	return out
 }
 
-func axisOffsets(periodic bool, c, r, lo, L float64) []float64 {
+// axisOffsets returns the image shifts to search along one axis in offs[:n]:
+// zero always, plus a ±L image when the ball pokes out of a periodic domain
+// on that side.
+func axisOffsets(periodic bool, c, r, lo, L float64) (offs [3]float64, n int) {
+	n = 1
 	if !periodic || L <= 0 {
-		return []float64{0}
+		return offs, n
 	}
-	offs := []float64{0}
 	if c-r < lo {
-		offs = append(offs, L)
+		offs[n] = L
+		n++
 	}
 	if c+r > lo+L {
-		offs = append(offs, -L)
+		offs[n] = -L
+		n++
 	}
-	return offs
+	return offs, n
 }
 
-// search walks node ni for particles within r of center; off is the image
-// offset already applied to center (recorded into Hit.DR so displacements are
-// minimum-image).
-func (t *Tree) search(ni int, center vec.V3, r, r2 float64, off vec.V3, out []Hit) []Hit {
+// search walks node ni for particles within sqrt(r2) of center. For a
+// periodic image, center already carries the image shift, so the recorded
+// Hit.DR is the minimum-image displacement.
+func (t *Tree) search(ni int, center vec.V3, r2 float64, out []Hit) []Hit {
 	nd := &t.Nodes[ni]
 	if nd.Count == 0 {
 		return out
@@ -317,7 +312,7 @@ func (t *Tree) search(ni int, center vec.V3, r, r2 float64, off vec.V3, out []Hi
 		return out
 	}
 	for c := nd.FirstChild; c < nd.FirstChild+8; c++ {
-		out = t.search(int(c), center, r, r2, off, out)
+		out = t.search(int(c), center, r2, out)
 	}
 	return out
 }

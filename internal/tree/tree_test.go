@@ -198,6 +198,38 @@ func TestBallSearchPeriodicMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestBallSearchPeriodicCornerAllocFree: a ball at the corner of a box
+// periodic in x, y and z pokes out on every axis, so the search visits all
+// 8 images; with a preallocated out it must still allocate nothing.
+func TestBallSearchPeriodicCornerAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pos := randomPositions(2000, rng)
+	box := sfc.Box{Lo: vec.V3{}, Size: 1}
+	pbc := PBC{X: true, Y: true, Z: true, L: vec.V3{X: 1, Y: 1, Z: 1}}
+	tr := Build(pos, Options{PBC: pbc, Box: box, Workers: 1})
+	c := vec.V3{X: 0.03, Y: 0.98, Z: 0.02}
+	const r = 0.1
+	images := 1
+	for axis := 0; axis < 3; axis++ {
+		_, n := axisOffsets(true, c.Comp(axis), r, 0, 1)
+		images *= n
+	}
+	if images != 8 {
+		t.Fatalf("corner query spans %d images, want 8", images)
+	}
+	want := hitSet(BruteForceBallSearch(pos, pbc, c, r, nil))
+	out := make([]Hit, 0, 4*len(want))
+	got := hitSet(tr.BallSearch(c, r, out))
+	if len(got) != len(want) {
+		t.Fatalf("%d hits, want %d", len(got), len(want))
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		out = tr.BallSearch(c, r, out[:0])
+	}); allocs != 0 {
+		t.Fatalf("periodic BallSearch allocated %v times per call, want 0", allocs)
+	}
+}
+
 func TestPBCWrap(t *testing.T) {
 	pbc := PBC{Z: true, L: vec.V3{Z: 2}}
 	d := pbc.Wrap(vec.V3{Z: 1.9})
