@@ -105,7 +105,6 @@ func main() {
 			"write the local run's measured phase timeline as Chrome trace-event "+
 				"JSON to this file (load in Perfetto or chrome://tracing)")
 	)
-	flag.StringVar(test, "test", *test, "deprecated alias for -scenario")
 	flag.Parse()
 	var err error
 	if *serverURL != "" {

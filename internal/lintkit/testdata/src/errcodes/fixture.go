@@ -37,3 +37,17 @@ func localVariable() {
 	c := "dynamic"
 	writeError(500, c, "from a local") // want "not a declared Code"
 }
+
+// table is a generic resource table; its routes take the kind's code.
+type table[T any] struct{ items []T }
+
+// genericForward is a generic helper forwarding into the code slot: its
+// call sites are checked like forward's.
+func genericForward[T any](code string, t *table[T]) {
+	writeError(404, code, fmt.Sprint(len(t.items)))
+}
+
+func viaGenericHelper() {
+	genericForward(CodeGone, &table[int]{})
+	genericForward("nope", &table[string]{}) // want "not a declared Code"
+}

@@ -64,3 +64,21 @@ func guardedWork() {
 }
 
 func work() {}
+
+// pool is a generic type whose collector contains its own panics.
+type pool[T any] struct{ items []T }
+
+func (p *pool[T]) collect() {
+	defer func() { _ = recover() }()
+	work()
+}
+
+func (p *pool[T]) bare() { work() }
+
+// genericMethods launches methods of an instantiated generic type: the
+// analyzer follows them to the generic declaration.
+func genericMethods() {
+	p := &pool[int]{}
+	go p.collect()
+	go p.bare() // want "without panic containment"
+}

@@ -31,3 +31,20 @@ func newCounter() *counter {
 	c.n = 1
 	return c
 }
+
+// table is a generic type: annotations on its fields are checked in its
+// methods, whose receivers are instances of the declaration.
+type table[T any] struct {
+	mu   sync.Mutex
+	recs map[string]T // guarded by mu
+}
+
+func (t *table[T]) get(id string) T {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.recs[id]
+}
+
+func (t *table[T]) peek(id string) T {
+	return t.recs[id] // want "without acquiring mu"
+}

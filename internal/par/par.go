@@ -61,3 +61,35 @@ func (c *Catcher) Rethrow() {
 		panic(p)
 	}
 }
+
+// For runs fn over [0, n) split into ceil(n/workers)-sized chunks, one
+// goroutine per non-empty chunk, and waits; a worker panic is rethrown on
+// the caller. w is the chunk's worker slot in [0, workers), for lock-free
+// per-worker accumulators. With workers <= 1 or fewer than grain items the
+// whole range runs on the caller as fn(workers, 0, n): slot workers is the
+// reserve accumulator of that serial path. The chunk boundaries depend on n
+// and workers only, so results are independent of scheduling.
+func For(n, workers, grain int, fn func(w, lo, hi int)) {
+	if workers <= 1 || n < grain {
+		fn(workers, 0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	var c Catcher
+	chunk := (n + workers - 1) / workers
+	for w := 0; w < workers; w++ {
+		lo := w * chunk
+		hi := min(lo+chunk, n)
+		if lo >= hi {
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer c.Catch()
+			fn(w, lo, hi)
+		}()
+	}
+	wg.Wait()
+	c.Rethrow()
+}

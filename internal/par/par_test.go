@@ -75,3 +75,47 @@ func TestCatcherKeepsInnermostStackOnNestedFanOut(t *testing.T) {
 	}()
 	outer.Rethrow()
 }
+
+func TestForRethrowsWorkerPanic(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("worker panic was not rethrown on the caller")
+		}
+	}()
+	For(1024, 4, 64, func(_, lo, hi int) {
+		if lo > 0 {
+			panic("worker died")
+		}
+	})
+}
+
+func TestForChunksAndSerialSlot(t *testing.T) {
+	type call struct{ w, lo, hi int }
+	var mu sync.Mutex
+	var got []call
+	record := func(w, lo, hi int) {
+		mu.Lock()
+		got = append(got, call{w, lo, hi})
+		mu.Unlock()
+	}
+	// 10 items over 4 workers: ceil(10/4) = 3 per chunk, the last short.
+	For(10, 4, 0, record)
+	want := map[call]bool{{0, 0, 3}: true, {1, 3, 6}: true, {2, 6, 9}: true, {3, 9, 10}: true}
+	if len(got) != len(want) {
+		t.Fatalf("chunks %v, want %v", got, want)
+	}
+	for _, c := range got {
+		if !want[c] {
+			t.Fatalf("unexpected chunk %+v in %v", c, got)
+		}
+	}
+	// Below the grain (or with one worker) the caller runs the whole range
+	// in the reserve slot w = workers.
+	for _, tc := range []struct{ n, workers, grain int }{{10, 4, 64}, {100, 1, 0}} {
+		got = nil
+		For(tc.n, tc.workers, tc.grain, record)
+		if len(got) != 1 || got[0] != (call{tc.workers, 0, tc.n}) {
+			t.Fatalf("For(%d, %d, %d) serial path called %v", tc.n, tc.workers, tc.grain, got)
+		}
+	}
+}

@@ -10,8 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/experiments"
 	"repro/internal/obs/history"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
@@ -74,15 +72,9 @@ import (
 //
 // The pre-/v1 unversioned aliases (POST /jobs, GET /storez, ...) served
 // through PR 6 with "Deprecation: true" headers are removed; requests to
-// them now 404. The deprecated_requests_total metric family stays
-// registered (with zero series) so dashboards keyed on it keep resolving.
+// them 404.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-
-	type route struct {
-		method, path string
-		h            http.HandlerFunc
-	}
 	routes := []route{
 		{method: "GET", path: "/v1/healthz", h: s.handleHealthz},
 		{method: "GET", path: "/v1/scenarios", h: s.handleScenarios},
@@ -100,30 +92,37 @@ func (s *Server) Handler() http.Handler {
 		{method: "GET", path: "/v1/jobs/{id}/trace", h: s.handleTrace},
 		{method: "POST", path: "/v1/jobs/{id}/profile", h: s.handleProfile},
 		{method: "DELETE", path: "/v1/jobs/{id}", h: s.handleDelete(CodeUnknownJob, s.DeleteJob)},
-		{method: "POST", path: "/v1/experiments", h: s.handleSubmitExperiment},
-		{method: "GET", path: "/v1/experiments", h: s.handleListExperiments},
-		{method: "GET", path: "/v1/experiments/{id}", h: s.handleExperiment},
-		{method: "GET", path: "/v1/experiments/{id}/events", h: s.handleExperimentEvents},
-		{method: "DELETE", path: "/v1/experiments/{id}", h: s.handleDelete(CodeUnknownExperiment, s.DeleteExperiment)},
-		{method: "POST", path: "/v1/scaling", h: s.handleSubmitScaling},
-		{method: "GET", path: "/v1/scaling", h: s.handleListScaling},
-		{method: "GET", path: "/v1/scaling/{id}", h: s.handleScaling},
-		{method: "GET", path: "/v1/scaling/{id}/events", h: s.handleScalingEvents},
-		{method: "DELETE", path: "/v1/scaling/{id}", h: s.handleDelete(CodeUnknownScaling, s.DeleteScaling)},
-		{method: "POST", path: "/v1/analytics/cluster", h: s.handleSubmitAnalysis},
-		{method: "GET", path: "/v1/analytics/cluster", h: s.handleListAnalyses},
-		{method: "GET", path: "/v1/analytics/cluster/{id}", h: s.handleAnalysis},
-		{method: "GET", path: "/v1/analytics/cluster/{id}/events", h: s.handleAnalysisEvents},
-		{method: "DELETE", path: "/v1/analytics/cluster/{id}", h: s.handleDelete(CodeUnknownAnalysis, s.DeleteAnalysis)},
 		{method: "GET", path: "/v1/store", h: s.handleStore},
 		{method: "GET", path: "/v1/metrics/history", h: s.handleMetricsHistory},
 		{method: "GET", path: "/statusz", h: s.handleStatusz},
 		{method: "GET", path: "/metricsz", h: s.handleMetricsz},
 	}
+	routes = append(routes, resourceRoutes("/v1/experiments", CodeUnknownExperiment, s.exps)...)
+	routes = append(routes, resourceRoutes("/v1/scaling", CodeUnknownScaling, s.scls)...)
+	routes = append(routes, resourceRoutes("/v1/analytics/cluster", CodeUnknownAnalysis, s.clss)...)
 	for _, r := range routes {
 		mux.HandleFunc(r.method+" "+r.path, r.h)
 	}
 	return s.instrument(mux)
+}
+
+// route is one method+pattern registration of the API mux.
+type route struct {
+	method, path string
+	h            http.HandlerFunc
+}
+
+// resourceRoutes mounts one sweep-like resource kind under prefix: submit
+// and list on the prefix; get, events, and delete on /{id}, where an
+// unknown id answers 404 with unknownCode.
+func resourceRoutes[S any, V resourceView](prefix, unknownCode string, t *resources[S, V]) []route {
+	return []route{
+		{method: "POST", path: prefix, h: handleResourceSubmit(t)},
+		{method: "GET", path: prefix, h: handleResourceList(t)},
+		{method: "GET", path: prefix + "/{id}", h: handleResourceGet(unknownCode, t)},
+		{method: "GET", path: prefix + "/{id}/events", h: handleResourceEvents(unknownCode, t)},
+		{method: "DELETE", path: prefix + "/{id}", h: t.s.handleDelete(unknownCode, t.delete)},
+	}
 }
 
 // Stable API error codes of the /v1 error envelope.
@@ -163,7 +162,7 @@ func writeError(w http.ResponseWriter, status int, code, message string, details
 	})
 }
 
-// submitError classifies a Submit/SubmitExperiment error into the envelope.
+// submitError classifies a job or sweep submission error into the envelope.
 func submitError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
@@ -218,9 +217,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		submitError(w, err)
 		return
 	}
-	w.Header().Set(HashHeader, view.Hash)
+	writeAccepted(w, view.Hash, view.State, view)
+}
+
+// writeAccepted answers a resolved submission: 202, or 200 when it
+// completed on the spot as a cache hit, with the content hash in HashHeader.
+func writeAccepted(w http.ResponseWriter, hash string, state JobState, view any) {
+	w.Header().Set(HashHeader, hash)
 	status := http.StatusAccepted
-	if view.State == StateCompleted {
+	if state == StateCompleted {
 		status = http.StatusOK // cache hit: nothing to wait for
 	}
 	writeJSON(w, status, view)
@@ -342,36 +347,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	s.streamEvents(w, r, done, func() (any, JobState, bool) {
 		view, ok := s.Get(id)
-		return view, view.State, ok
-	})
-}
-
-// handleExperimentEvents streams convergence-experiment progress as
-// server-sent events (the member states tick as the ladder completes).
-func (s *Server) handleExperimentEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	done, ok := s.ExperimentDone(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownExperiment, fmt.Sprintf("no experiment %q", id), nil)
-		return
-	}
-	s.streamEvents(w, r, done, func() (any, JobState, bool) {
-		view, ok := s.GetExperiment(id)
-		return view, view.State, ok
-	})
-}
-
-// handleScalingEvents streams scaling-experiment progress as server-sent
-// events.
-func (s *Server) handleScalingEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	done, ok := s.ScalingDone(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownScaling, fmt.Sprintf("no scaling experiment %q", id), nil)
-		return
-	}
-	s.streamEvents(w, r, done, func() (any, JobState, bool) {
-		view, ok := s.GetScaling(id)
 		return view, view.State, ok
 	})
 }
@@ -627,175 +602,73 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(b)
 }
 
-// handleSubmitExperiment serves POST /v1/experiments: a convergence sweep
-// through the batch pipeline, deduplicated and persisted by canonical sweep
-// hash.
-func (s *Server) handleSubmitExperiment(w http.ResponseWriter, r *http.Request) {
-	var sw experiments.Sweep
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sw); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument,
-			fmt.Sprintf("decoding sweep: %v", err), nil)
-		return
-	}
-	view, err := s.SubmitExperiment(sw)
-	if err != nil {
-		submitError(w, err)
-		return
-	}
-	w.Header().Set(HashHeader, view.Hash)
-	status := http.StatusAccepted
-	if view.State == StateCompleted {
-		status = http.StatusOK // cache hit: nothing to wait for
-	}
-	writeJSON(w, status, view)
-}
-
-// ExperimentPage is the paginated experiment listing envelope.
-type ExperimentPage struct {
-	Experiments []ExperimentView `json:"experiments"`
-	NextCursor  string           `json:"nextCursor,omitempty"`
-}
-
-func (s *Server) handleListExperiments(w http.ResponseWriter, r *http.Request) {
-	limit, cursor, err := pageParams(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error(), nil)
-		return
-	}
-	exps, next := s.ListExperiments(cursor, limit)
-	writeJSON(w, http.StatusOK, ExperimentPage{Experiments: exps, NextCursor: next})
-}
-
-func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	view, ok := s.GetExperiment(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownExperiment,
-			fmt.Sprintf("no experiment %q", r.PathValue("id")), nil)
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
-}
-
-// handleSubmitScaling serves POST /v1/scaling: a scaling sweep through the
-// batch pipeline, deduplicated and persisted by canonical sweep hash.
-func (s *Server) handleSubmitScaling(w http.ResponseWriter, r *http.Request) {
-	var sw experiments.ScalingSweep
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sw); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument,
-			fmt.Sprintf("decoding scaling sweep: %v", err), nil)
-		return
-	}
-	view, err := s.SubmitScaling(sw)
-	if err != nil {
-		submitError(w, err)
-		return
-	}
-	w.Header().Set(HashHeader, view.Hash)
-	status := http.StatusAccepted
-	if view.State == StateCompleted {
-		status = http.StatusOK // cache hit: nothing to wait for
-	}
-	writeJSON(w, status, view)
-}
-
-// ScalingPage is the paginated scaling-experiment listing envelope.
-type ScalingPage struct {
-	Scaling    []ScalingView `json:"scaling"`
-	NextCursor string        `json:"nextCursor,omitempty"`
-}
-
-func (s *Server) handleListScaling(w http.ResponseWriter, r *http.Request) {
-	limit, cursor, err := pageParams(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error(), nil)
-		return
-	}
-	scls, next := s.ListScaling(cursor, limit)
-	writeJSON(w, http.StatusOK, ScalingPage{Scaling: scls, NextCursor: next})
-}
-
-func (s *Server) handleScaling(w http.ResponseWriter, r *http.Request) {
-	view, ok := s.GetScaling(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownScaling,
-			fmt.Sprintf("no scaling experiment %q", r.PathValue("id")), nil)
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
-}
-
-// handleSubmitAnalysis serves POST /v1/analytics/cluster: a robust
-// clustering of the persisted verification corpus, deduplicated and
-// persisted by the canonical (spec, report-set) analysis hash.
-func (s *Server) handleSubmitAnalysis(w http.ResponseWriter, r *http.Request) {
-	var sp cluster.Spec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sp); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument,
-			fmt.Sprintf("decoding cluster spec: %v", err), nil)
-		return
-	}
-	view, err := s.SubmitAnalysis(sp)
-	if err != nil {
-		if errors.Is(err, ErrNoStore) {
-			writeError(w, http.StatusNotFound, CodeNoStore, err.Error(), nil)
+// handleResourceSubmit serves POST on a resource prefix: the decoded spec
+// resolves through the kind's table, deduplicated and persisted by its
+// content hash.
+func handleResourceSubmit[S any, V resourceView](t *resources[S, V]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var spec S
+		dec := json.NewDecoder(r.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
+			writeError(w, http.StatusBadRequest, CodeInvalidArgument,
+				fmt.Sprintf("decoding %s: %v", t.kind.specNoun, err), nil)
 			return
 		}
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error(), nil)
-		return
+		view, err := t.submit(spec)
+		if err != nil {
+			t.kind.submitError(w, err)
+			return
+		}
+		hash, state := (*view).status()
+		writeAccepted(w, hash, state, view)
 	}
-	w.Header().Set(HashHeader, view.Hash)
-	status := http.StatusAccepted
-	if view.State == StateCompleted {
-		status = http.StatusOK // cache hit: nothing to wait for
-	}
-	writeJSON(w, status, view)
 }
 
-// AnalyticsPage is the paginated cluster-analysis listing envelope.
-type AnalyticsPage struct {
-	Analyses   []AnalysisView `json:"analyses"`
-	NextCursor string         `json:"nextCursor,omitempty"`
+// handleResourceList serves GET on a resource prefix: one cursor page in
+// the kind's envelope.
+func handleResourceList[S any, V resourceView](t *resources[S, V]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		limit, cursor, err := pageParams(r)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error(), nil)
+			return
+		}
+		views, next := t.list(cursor, limit)
+		writeJSON(w, http.StatusOK, t.kind.page(views, next))
+	}
 }
 
-func (s *Server) handleListAnalyses(w http.ResponseWriter, r *http.Request) {
-	limit, cursor, err := pageParams(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error(), nil)
-		return
+// handleResourceGet serves GET {prefix}/{id}: the record's view.
+func handleResourceGet[S any, V resourceView](unknownCode string, t *resources[S, V]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		view, ok := t.get(r.PathValue("id"))
+		if !ok {
+			writeError(w, http.StatusNotFound, unknownCode,
+				fmt.Sprintf("no %s %q", t.kind.noun, r.PathValue("id")), nil)
+			return
+		}
+		writeJSON(w, http.StatusOK, view)
 	}
-	clss, next := s.ListAnalyses(cursor, limit)
-	writeJSON(w, http.StatusOK, AnalyticsPage{Analyses: clss, NextCursor: next})
 }
 
-func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
-	view, ok := s.GetAnalysis(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownAnalysis,
-			fmt.Sprintf("no cluster analysis %q", r.PathValue("id")), nil)
-		return
+// handleResourceEvents serves GET {prefix}/{id}/events: the record's views
+// as server-sent events (member states tick as a ladder completes) until
+// the terminal frame.
+func handleResourceEvents[S any, V resourceView](unknownCode string, t *resources[S, V]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		done, ok := t.done(id)
+		if !ok {
+			writeError(w, http.StatusNotFound, unknownCode, fmt.Sprintf("no %s %q", t.kind.noun, id), nil)
+			return
+		}
+		t.s.streamEvents(w, r, done, func() (any, JobState, bool) {
+			view, ok := t.get(id)
+			_, state := view.status()
+			return view, state, ok
+		})
 	}
-	writeJSON(w, http.StatusOK, view)
-}
-
-// handleAnalysisEvents streams cluster-analysis progress as server-sent
-// events.
-func (s *Server) handleAnalysisEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	done, ok := s.AnalysisDone(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownAnalysis, fmt.Sprintf("no cluster analysis %q", id), nil)
-		return
-	}
-	s.streamEvents(w, r, done, func() (any, JobState, bool) {
-		view, ok := s.GetAnalysis(id)
-		return view, view.State, ok
-	})
 }
 
 // handleStore serves the result-store metrics; without a persistent store

@@ -39,10 +39,6 @@ type metrics struct {
 	httpLatency  *obs.HistogramVec // http_request_duration_seconds{route,method,code}
 	routeLatency *obs.HistogramVec // http_route_duration_seconds{route}
 	httpInflight *obs.Gauge        // http_inflight_requests
-	// deprecated stays registered after the unversioned alias routes were
-	// removed: the family renders with zero series, so dashboards keyed on
-	// it keep resolving instead of erroring on a vanished metric.
-	deprecated *obs.CounterVec // deprecated_requests_total{route}
 	// Physics watchdogs (internal/telemetry) per tripped kind.
 	watchdogTrips *obs.CounterVec // telemetry_watchdog_trips_total{kind}
 
@@ -61,8 +57,8 @@ type metrics struct {
 	sweepsDone      *obs.CounterVec // sweeps_terminal_total{kind,state}
 
 	// Fleet analytics (POST /v1/analytics/cluster).
-	analytics        *obs.Counter    // analytics_total
-	analyticsHits    *obs.Counter    // analytics_cache_hits_total
+	analytics        *obs.CounterVec // analytics_total (unlabelled)
+	analyticsHits    *obs.CounterVec // analytics_cache_hits_total (unlabelled)
 	analyticsDone    *obs.CounterVec // analytics_terminal_total{state}
 	anomaliesFlagged *obs.CounterVec // analytics_anomalies_total{scenario}
 
@@ -94,7 +90,7 @@ type metrics struct {
 
 // newMetrics registers the server's metric families on reg.
 func newMetrics(reg *obs.Registry) *metrics {
-	return &metrics{
+	m := &metrics{
 		reg: reg,
 
 		httpReqs: reg.Counter("http_requests_total",
@@ -109,10 +105,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 			nil, "route"),
 		httpInflight: reg.Gauge("http_inflight_requests",
 			"HTTP requests currently being served").With(),
-		deprecated: reg.Counter("deprecated_requests_total",
-			"requests served through deprecated unversioned alias routes, by route "+
-				"pattern (the aliases are removed; the family stays for dashboards)",
-			"route"),
 		watchdogTrips: reg.Counter("telemetry_watchdog_trips_total",
 			"physics watchdog trips on job flight-recorder samples, by kind "+
 				"(nan, drift-slope, dt-collapse, imbalance)",
@@ -143,9 +135,9 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"experiment sweeps reaching a terminal state, by kind and state", "kind", "state"),
 
 		analytics: reg.Counter("analytics_total",
-			"cluster analyses accepted (including cache hits and coalesced duplicates)").With(),
+			"cluster analyses accepted (including cache hits and coalesced duplicates)"),
 		analyticsHits: reg.Counter("analytics_cache_hits_total",
-			"cluster analyses served instantly from a persisted result").With(),
+			"cluster analyses served instantly from a persisted result"),
 		analyticsDone: reg.Counter("analytics_terminal_total",
 			"cluster analyses reaching a terminal state, by state", "state"),
 		anomaliesFlagged: reg.Counter("analytics_anomalies_total",
@@ -183,6 +175,11 @@ func newMetrics(reg *obs.Registry) *metrics {
 				"runtime's cumulative pause histogram at scrape time",
 			nil).With(),
 	}
+	// The unlabelled analytics counters render from startup, like the job
+	// counters above.
+	m.analytics.With()
+	m.analyticsHits.With()
+	return m
 }
 
 // collectRuntime refreshes the Go runtime health families from

@@ -98,11 +98,11 @@ func TestMiddlewareLabelsAndHeaders(t *testing.T) {
 	}
 }
 
-// TestDeprecatedFamilyKeptWithZeroSeries pins satellite #2 of the removal:
-// the unversioned aliases are gone, but the deprecated_requests_total family
-// stays registered (zero series) so dashboards keyed on it keep resolving,
-// and the new telemetry_watchdog_trips_total family is registered alongside.
-func TestDeprecatedFamilyKeptWithZeroSeries(t *testing.T) {
+// TestRemovedAliasesLeaveNoDeprecatedSurface pins the alias removal: the
+// unversioned aliases 404 without minting a deprecated-route series,
+// /statusz renders no deprecated-route table, and the
+// telemetry_watchdog_trips_total family is registered.
+func TestRemovedAliasesLeaveNoDeprecatedSurface(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
@@ -124,7 +124,7 @@ func TestDeprecatedFamilyKeptWithZeroSeries(t *testing.T) {
 		t.Fatal("deprecated_requests_total minted a series for a removed route")
 	}
 
-	// Both families still expose HELP/TYPE on /metricsz even with no series.
+	// The watchdog family exposes HELP/TYPE on /metricsz even with no series.
 	resp, err := http.Get(ts.URL + "/metricsz")
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestDeprecatedFamilyKeptWithZeroSeries(t *testing.T) {
 	b, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	body := string(b)
-	for _, fam := range []string{"deprecated_requests_total", "telemetry_watchdog_trips_total"} {
+	for _, fam := range []string{"telemetry_watchdog_trips_total"} {
 		if !strings.Contains(body, "# TYPE "+fam+" counter") {
 			t.Fatalf("/metricsz missing %s family:\n%s", fam, body)
 		}

@@ -295,64 +295,273 @@ func TestListStateFilter(t *testing.T) {
 	_ = s.Cancel(running.ID)
 }
 
-// TestJobTablePruning: terminal jobs older than JobTTL leave the job table,
-// while their results stay addressable through the store (a resubmission is
-// still a cache hit).
+// TestJobTablePruning: terminal records older than JobTTL leave every
+// table — jobs, experiments, scaling experiments, analyses — while their
+// results stay addressable through the store (a resubmission is still a
+// cache hit), and a running record is never pruned, however old.
 func TestJobTablePruning(t *testing.T) {
-	clock := newTestClock()
-	st, err := store.Open(t.TempDir(), store.Options{Now: clock.now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(Options{Workers: 1, Store: st, JobTTL: time.Hour, Clock: clock.now})
-	defer s.Close()
-
-	view, err := s.Submit(sedovSpec(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, s, view.ID, StateCompleted, 60*time.Second)
-
-	// Within the TTL the job is listed; past it, pruned.
-	clock.advance(30 * time.Minute)
-	if got := s.List(""); len(got) != 1 {
-		t.Fatalf("list has %d jobs before TTL, want 1", len(got))
-	}
-	clock.advance(45 * time.Minute)
-	if got := s.List(""); len(got) != 0 {
-		t.Fatalf("list has %d jobs after TTL, want 0", len(got))
-	}
-	if _, ok := s.Get(view.ID); ok {
-		t.Fatal("pruned job still resolvable by id")
-	}
-
-	// The result outlives the job record: same spec is still a cache hit.
-	again, err := s.Submit(sedovSpec(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.CacheHit {
-		t.Fatal("stored result lost when its job was pruned")
-	}
-
-	// A running job is never pruned, however old.
-	slow := sedovSpec(500)
-	slow.Params.N = 1000
-	slow.Params.NNeighbors = 30
-	run, err := s.Submit(slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, s, run.ID, StateRunning, 60*time.Second)
-	clock.advance(24 * time.Hour)
-	views := s.List("")
-	for _, v := range views {
-		if v.ID == run.ID {
-			_ = s.Cancel(run.ID)
-			return
+	t.Run("jobs", func(t *testing.T) {
+		clock := newTestClock()
+		st, err := store.Open(t.TempDir(), store.Options{Now: clock.now})
+		if err != nil {
+			t.Fatal(err)
 		}
+		s := New(Options{Workers: 1, Store: st, JobTTL: time.Hour, Clock: clock.now})
+		defer s.Close()
+
+		view, err := s.Submit(sedovSpec(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, s, view.ID, StateCompleted, 60*time.Second)
+
+		// Within the TTL the job is listed; past it, pruned.
+		clock.advance(30 * time.Minute)
+		if got := s.List(""); len(got) != 1 {
+			t.Fatalf("list has %d jobs before TTL, want 1", len(got))
+		}
+		clock.advance(45 * time.Minute)
+		if got := s.List(""); len(got) != 0 {
+			t.Fatalf("list has %d jobs after TTL, want 0", len(got))
+		}
+		if _, ok := s.Get(view.ID); ok {
+			t.Fatal("pruned job still resolvable by id")
+		}
+
+		// The result outlives the job record: same spec is still a cache hit.
+		again, err := s.Submit(sedovSpec(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.CacheHit {
+			t.Fatal("stored result lost when its job was pruned")
+		}
+
+		// A running job is never pruned, however old.
+		slow := sedovSpec(500)
+		slow.Params.N = 1000
+		slow.Params.NNeighbors = 30
+		run, err := s.Submit(slow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, s, run.ID, StateRunning, 60*time.Second)
+		clock.advance(24 * time.Hour)
+		views := s.List("")
+		for _, v := range views {
+			if v.ID == run.ID {
+				_ = s.Cancel(run.ID)
+				return
+			}
+		}
+		t.Fatalf("running job pruned: %+v", views)
+	})
+
+	// The sweep-like resources, through the HTTP API. An analysis runs no
+	// member jobs and its fit lands moments after submission, so there is
+	// no running window a test can hold open; the running check covers the
+	// sweeps.
+	type pruneKind struct {
+		name string
+		// submit posts the quick (slow=false) or the long-running variant.
+		submit func(c *client.Client, slow bool) (id string, cacheHit bool, err error)
+		// get returns the state and member job ids, or the API error.
+		get  func(c *client.Client, id string) (state string, members []string, err error)
+		list func(c *client.Client) (ids []string, err error)
 	}
-	t.Fatalf("running job pruned: %+v", views)
+	ctx := context.Background()
+	kinds := []pruneKind{
+		{
+			name: "experiments",
+			submit: func(c *client.Client, slow bool) (string, bool, error) {
+				sw := sedovSweep(2, 150, 300)
+				if slow {
+					sw = sedovSweep(500, 1000, 2000)
+				}
+				v, err := c.SubmitExperiment(ctx, sw)
+				if err != nil {
+					return "", false, err
+				}
+				return v.ID, v.CacheHit, nil
+			},
+			get: func(c *client.Client, id string) (string, []string, error) {
+				v, err := c.Experiment(ctx, id)
+				if err != nil {
+					return "", nil, err
+				}
+				var ms []string
+				for _, m := range v.Members {
+					ms = append(ms, m.JobID)
+				}
+				return v.State, ms, nil
+			},
+			list: func(c *client.Client) ([]string, error) {
+				p, err := c.Experiments(ctx, client.ListOptions{})
+				if err != nil {
+					return nil, err
+				}
+				var ids []string
+				for _, v := range p.Experiments {
+					ids = append(ids, v.ID)
+				}
+				return ids, nil
+			},
+		},
+		{
+			name: "scaling",
+			submit: func(c *client.Client, slow bool) (string, bool, error) {
+				sw := sedovScaling(2, 12, 24)
+				if slow {
+					sw = sedovScaling(500, 12, 24)
+					sw.Base.Params.N = 1000
+				}
+				v, err := c.SubmitScaling(ctx, sw)
+				if err != nil {
+					return "", false, err
+				}
+				return v.ID, v.CacheHit, nil
+			},
+			get: func(c *client.Client, id string) (string, []string, error) {
+				v, err := c.Scaling(ctx, id)
+				if err != nil {
+					return "", nil, err
+				}
+				var ms []string
+				for _, m := range v.Members {
+					ms = append(ms, m.JobID)
+				}
+				return v.State, ms, nil
+			},
+			list: func(c *client.Client) ([]string, error) {
+				p, err := c.Scalings(ctx, client.ListOptions{})
+				if err != nil {
+					return nil, err
+				}
+				var ids []string
+				for _, v := range p.Scaling {
+					ids = append(ids, v.ID)
+				}
+				return ids, nil
+			},
+		},
+		{
+			name: "analyses",
+			submit: func(c *client.Client, slow bool) (string, bool, error) {
+				v, err := c.SubmitCluster(ctx, smallClusterSpec())
+				if err != nil {
+					return "", false, err
+				}
+				return v.ID, v.CacheHit, nil
+			},
+			get: func(c *client.Client, id string) (string, []string, error) {
+				v, err := c.ClusterAnalysis(ctx, id)
+				if err != nil {
+					return "", nil, err
+				}
+				return v.State, nil, nil
+			},
+			list: func(c *client.Client) ([]string, error) {
+				p, err := c.ClusterAnalyses(ctx, client.ListOptions{})
+				if err != nil {
+					return nil, err
+				}
+				var ids []string
+				for _, v := range p.Analyses {
+					ids = append(ids, v.ID)
+				}
+				return ids, nil
+			},
+		},
+	}
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			clock := newTestClock()
+			st, err := store.Open(t.TempDir(), store.Options{Now: clock.now})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := New(Options{Workers: 1, Store: st, JobTTL: time.Hour, Clock: clock.now})
+			defer s.Close()
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			c := testClient(ts)
+			if k.name == "analyses" {
+				seedReports(t, s, 5)
+			}
+			listed := func(id string) bool {
+				t.Helper()
+				ids, err := k.list(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, got := range ids {
+					if got == id {
+						return true
+					}
+				}
+				return false
+			}
+
+			id, _, err := k.submit(c, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(120 * time.Second)
+			for {
+				state, _, err := k.get(c, id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if state == client.StateCompleted {
+					break
+				}
+				if client.TerminalState(state) || time.Now().After(deadline) {
+					t.Fatalf("%s %s ended %s, want completed", k.name, id, state)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+
+			// Within the TTL the record is listed; past it, pruned.
+			clock.advance(30 * time.Minute)
+			if !listed(id) {
+				t.Fatalf("%s %s not listed before its TTL", k.name, id)
+			}
+			clock.advance(45 * time.Minute)
+			if listed(id) {
+				t.Fatalf("%s %s still listed after its TTL", k.name, id)
+			}
+			var apiErr *client.APIError
+			if _, _, err := k.get(c, id); !errors.As(err, &apiErr) || apiErr.Status != 404 {
+				t.Fatalf("pruned %s %s still resolvable by id: %v", k.name, id, err)
+			}
+
+			// The result outlives the record: the same submission is still a
+			// cache hit.
+			if _, hit, err := k.submit(c, false); err != nil || !hit {
+				t.Fatalf("resubmission after pruning: cacheHit=%v err=%v", hit, err)
+			}
+
+			if k.name == "analyses" {
+				return
+			}
+			// A running record is never pruned, however old.
+			slow, _, err := k.submit(c, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clock.advance(24 * time.Hour)
+			state, members, err := k.get(c, slow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if state != client.StateRunning || !listed(slow) {
+				t.Fatalf("running %s %s pruned (state %s)", k.name, slow, state)
+			}
+			for _, m := range members {
+				_ = s.Cancel(m)
+			}
+		})
+	}
 }
 
 // TestOversizedSnapshotStaysFetchable: when the snapshot exceeds the whole

@@ -25,17 +25,17 @@ func sedovScaling(steps int, cores ...int) experiments.ScalingSweep {
 
 func waitScaling(t *testing.T, s *Server, id string, timeout time.Duration) ScalingView {
 	t.Helper()
-	done, ok := s.ScalingDone(id)
+	done, ok := s.scls.done(id)
 	if !ok {
 		t.Fatalf("scaling experiment %s unknown", id)
 	}
 	select {
 	case <-done:
 	case <-time.After(timeout):
-		v, _ := s.GetScaling(id)
+		v, _ := s.scls.get(id)
 		t.Fatalf("scaling experiment %s stuck in %s: %+v", id, v.State, v)
 	}
-	v, ok := s.GetScaling(id)
+	v, ok := s.scls.get(id)
 	if !ok {
 		t.Fatalf("scaling experiment %s disappeared", id)
 	}
@@ -209,7 +209,7 @@ func TestScalingWeakMode(t *testing.T) {
 		Mode:             experiments.ScalingWeak,
 		ParticlesPerCore: 18,
 	}
-	view, err := s.SubmitScaling(sw)
+	view, err := s.scls.submit(sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,6 +262,7 @@ func TestDeleteLifecycles(t *testing.T) {
 	assertAPIErr(c.DeleteJob(ctx, "job-999999"), 404, "unknown_job")
 	assertAPIErr(c.DeleteExperiment(ctx, "exp-999999"), 404, "unknown_experiment")
 	assertAPIErr(c.DeleteScaling(ctx, "scl-999999"), 404, "unknown_scaling")
+	assertAPIErr(c.DeleteCluster(ctx, "cls-999999"), 404, "unknown_analysis")
 
 	// A slow job is deletable only after it terminates.
 	slow, err := s.Submit(sedovSpec(500))
@@ -291,7 +292,7 @@ func TestDeleteLifecycles(t *testing.T) {
 	if err := c.DeleteScaling(ctx, scl.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.GetScaling(scl.ID); ok {
+	if _, ok := s.scls.get(scl.ID); ok {
 		t.Fatal("deleted scaling experiment still listed")
 	}
 	hit, err := c.SubmitScaling(ctx, sedovScaling(2, 12, 24))
@@ -317,16 +318,20 @@ func TestDeleteLifecycles(t *testing.T) {
 	if err := c.DeleteExperiment(ctx, exp.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.GetExperiment(exp.ID); ok {
+	if _, ok := s.exps.get(exp.ID); ok {
 		t.Fatal("deleted experiment still listed")
 	}
 }
 
-// TestExperimentAndScalingEvents covers the SSE progress routes: both
-// resources stream at least one data frame and close after the terminal
-// one; unknown ids 404 with their resource code.
+// TestExperimentAndScalingEvents covers the SSE progress routes: every
+// resource kind streams at least one data frame and closes after the
+// terminal one; unknown ids 404 with their resource code.
 func TestExperimentAndScalingEvents(t *testing.T) {
-	s := New(Options{Workers: 2})
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Workers: 2, Store: st})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -343,10 +348,19 @@ func TestExperimentAndScalingEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitExperiment(t, s, exp.ID, 120*time.Second)
+	seedReports(t, s, 5)
+	cls, err := c.SubmitCluster(ctx, smallClusterSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.WaitCluster(ctx, cls.ID); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, path := range []string{
 		"/v1/scaling/" + scl.ID + "/events",
 		"/v1/experiments/" + exp.ID + "/events",
+		"/v1/analytics/cluster/" + cls.ID + "/events",
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -379,8 +393,9 @@ func TestExperimentAndScalingEvents(t *testing.T) {
 	}
 
 	for path, code := range map[string]string{
-		"/v1/scaling/scl-999999/events":     "unknown_scaling",
-		"/v1/experiments/exp-999999/events": "unknown_experiment",
+		"/v1/scaling/scl-999999/events":           "unknown_scaling",
+		"/v1/experiments/exp-999999/events":       "unknown_experiment",
+		"/v1/analytics/cluster/cls-999999/events": "unknown_analysis",
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

@@ -27,10 +27,12 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/codes"
 	"repro/internal/conserve"
 	"repro/internal/core"
 	"repro/internal/domain"
+	"repro/internal/experiments"
 	"repro/internal/ft"
 	"repro/internal/obs"
 	"repro/internal/obs/history"
@@ -179,8 +181,9 @@ type Options struct {
 	// Store persists completed results across restarts; nil keeps the
 	// legacy memory-only cache.
 	Store *store.Store
-	// JobTTL prunes completed/failed/cancelled jobs from the job table
-	// this long after they turned terminal; 0 disables pruning.
+	// JobTTL prunes completed/failed/cancelled records from the job,
+	// experiment, scaling, and analysis tables this long after they turned
+	// terminal; 0 disables pruning.
 	JobTTL time.Duration
 	// Clock overrides the time source (tests); nil means time.Now.
 	Clock func() time.Time
@@ -217,33 +220,16 @@ type Server struct {
 	byHash map[string]*Job          // active (queued/running) job per hash, for dedup; guarded by mu
 	nextID int
 
-	// Experiment state mirrors the job state one level up: records by id,
-	// submission order, active dedup by sweep hash, and a memory layer of
-	// completed results over the store.
-	exps      map[string]*Experiment
-	expOrder  []string
-	expByHash map[string]*Experiment
-	expCache  map[string][]byte
-	nextExpID int
-
-	// Scaling-experiment state, same shape again.
-	scls      map[string]*ScalingExp
-	sclOrder  []string
-	sclByHash map[string]*ScalingExp
-	sclCache  map[string][]byte
-	nextSclID int
-
-	// Cluster-analysis state (POST /v1/analytics/cluster), same shape again.
-	clss      map[string]*ClusterAnalysis
-	clsOrder  []string
-	clsByHash map[string]*ClusterAnalysis
-	clsCache  map[string][]byte
-	nextClsID int
+	// The sweep-like resource tables (resource.go): convergence
+	// experiments, scaling experiments, and cluster analyses. Each shares
+	// mu; the pointers are fixed at construction.
+	exps *resources[experiments.Sweep, ExperimentView]
+	scls *resources[experiments.ScalingSweep, ScalingView]
+	clss *resources[cluster.Spec, AnalysisView]
 	// anomalies marks jobs — keyed by spec hash, so marks survive job-table
 	// pruning and apply to cache-hit resubmissions — that the most recent
 	// covering analysis assigned to the improper noise component.
-	// Guarded by mu.
-	anomalies map[string]*AnomalyMark
+	anomalies map[string]*AnomalyMark // guarded by mu
 
 	queue   chan *Job
 	ctx     context.Context
@@ -310,15 +296,6 @@ func New(opts Options) *Server {
 		jobs:      map[string]*Job{},
 		cache:     map[string]*cachedResult{},
 		byHash:    map[string]*Job{},
-		exps:      map[string]*Experiment{},
-		expByHash: map[string]*Experiment{},
-		expCache:  map[string][]byte{},
-		scls:      map[string]*ScalingExp{},
-		sclByHash: map[string]*ScalingExp{},
-		sclCache:  map[string][]byte{},
-		clss:      map[string]*ClusterAnalysis{},
-		clsByHash: map[string]*ClusterAnalysis{},
-		clsCache:  map[string][]byte{},
 		anomalies: map[string]*AnomalyMark{},
 		queue:     make(chan *Job, opts.QueueDepth),
 		ctx:       ctx,
@@ -327,6 +304,9 @@ func New(opts Options) *Server {
 		met:       newMetrics(opts.Registry),
 		log:       opts.Logger,
 	}
+	s.exps = newResources(s, s.experimentKind())
+	s.scls = newResources(s, s.scalingKind())
+	s.clss = newResources(s, s.analysisKind())
 	s.started = s.now()
 	s.hist = history.New(opts.Registry, history.Config{
 		Interval:   opts.HistoryInterval,
@@ -579,22 +559,16 @@ func parseTrackStatus(track []byte) string {
 	return t.Status
 }
 
-// resourceRecord is the lifecycle surface shared by the resource tables
-// (jobs, convergence experiments, scaling experiments, cluster analyses);
-// the generic
-// prune and delete helpers run over it so TTL and deletion semantics cannot
-// drift apart between resources.
+// resourceRecord is the lifecycle surface shared by the job table and the
+// sweep-like resource tables; the generic prune and delete helpers run over
+// it so TTL and deletion semantics cannot drift apart between resources.
 type resourceRecord interface {
 	lifecycle() (JobState, time.Time)
 	cacheHash() string
 }
 
-func (j *Job) lifecycle() (JobState, time.Time)        { return j.State, j.doneAt }
-func (j *Job) cacheHash() string                       { return j.Hash }
-func (e *Experiment) lifecycle() (JobState, time.Time) { return e.State, e.doneAt }
-func (e *Experiment) cacheHash() string                { return e.Hash }
-func (e *ScalingExp) lifecycle() (JobState, time.Time) { return e.State, e.doneAt }
-func (e *ScalingExp) cacheHash() string                { return e.Hash }
+func (j *Job) lifecycle() (JobState, time.Time) { return j.State, j.doneAt }
+func (j *Job) cacheHash() string                { return j.Hash }
 
 // pruneTable drops terminal records older than cutoff from one resource
 // table, then removes cache entries whose hash no longer backs any
@@ -637,9 +611,9 @@ func (s *Server) pruneLocked() {
 	}
 	cutoff := s.now().Add(-ttl)
 	s.order = pruneTable(s.order, s.jobs, s.cache, cutoff)
-	s.expOrder = pruneTable(s.expOrder, s.exps, s.expCache, cutoff)
-	s.sclOrder = pruneTable(s.sclOrder, s.scls, s.sclCache, cutoff)
-	s.clsOrder = pruneTable(s.clsOrder, s.clss, s.clsCache, cutoff)
+	s.exps.pruneLocked(cutoff)
+	s.scls.pruneLocked(cutoff)
+	s.clss.pruneLocked(cutoff)
 }
 
 // Get returns a snapshot of the job, or false.
@@ -841,22 +815,6 @@ func (s *Server) DeleteJob(id string) error {
 	return deleteTerminal(id, "job", s.jobs, &s.order, s.cache)
 }
 
-// DeleteExperiment removes a terminal experiment record; its persisted
-// regression stays addressable by sweep hash.
-func (s *Server) DeleteExperiment(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return deleteTerminal(id, "experiment", s.exps, &s.expOrder, s.expCache)
-}
-
-// DeleteScaling removes a terminal scaling-experiment record; its persisted
-// result stays addressable by sweep hash.
-func (s *Server) DeleteScaling(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return deleteTerminal(id, "scaling experiment", s.scls, &s.sclOrder, s.sclCache)
-}
-
 // memberDone returns the done channel of a member job, or an already-closed
 // one when the record has vanished between Submit and this call — only
 // terminal records are deletable or prunable, so a missing record means the
@@ -869,30 +827,6 @@ func (s *Server) memberDone(id string) <-chan struct{} {
 	closed := make(chan struct{})
 	close(closed)
 	return closed
-}
-
-// resolveRawResult consults one experiment-result memory layer under the
-// server lock, then the persistent store (CRC-verified, outside the lock);
-// store hits are promoted into memory.
-func (s *Server) resolveRawResult(cache map[string][]byte, hash string) ([]byte, bool) {
-	s.mu.Lock()
-	raw, ok := cache[hash]
-	s.mu.Unlock()
-	if ok {
-		return raw, true
-	}
-	st := s.opts.Store
-	if st == nil {
-		return nil, false
-	}
-	b, _, err := st.ReadObject(hash)
-	if err != nil {
-		return nil, false
-	}
-	s.mu.Lock()
-	cache[hash] = b
-	s.mu.Unlock()
-	return b, true
 }
 
 // Snapshot returns the completed job's final particle state in the part

@@ -28,7 +28,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	for _, job := range s.jobs {
 		states[job.State]++
 	}
-	njobs, nexps, nscls, nclss := len(s.jobs), len(s.exps), len(s.scls), len(s.clss)
+	njobs, nexps, nscls, nclss := len(s.jobs), len(s.exps.recs), len(s.scls.recs), len(s.clss.recs)
 	// Current anomaly rollup: flagged jobs by scenario (the cumulative
 	// counter lives in analytics_anomalies_total; this is the live set).
 	anomalies := map[string]int{}
@@ -139,15 +139,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	// Physics watchdog trips, by kind (internal/telemetry flight recorders).
 	if f, ok := byName["telemetry_watchdog_trips_total"]; ok && len(f.Series) > 0 {
 		fmt.Fprintf(tw, "\nwatchdog\ttrips\n")
-		for _, series := range f.Series {
-			fmt.Fprintf(tw, "%s\t%.0f\n", series.Labels[0], series.Value)
-		}
-	}
-
-	// The unversioned alias routes are removed; the family stays registered
-	// for dashboards and renders here only if traffic somehow appears.
-	if f, ok := byName["deprecated_requests_total"]; ok && len(f.Series) > 0 {
-		fmt.Fprintf(tw, "\ndeprecated route\thits\n")
 		for _, series := range f.Series {
 			fmt.Fprintf(tw, "%s\t%.0f\n", series.Labels[0], series.Value)
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 
+	"repro/internal/par"
 	"repro/internal/part"
 )
 
@@ -39,7 +40,7 @@ func Density(ps *part.Set, nl *NeighborList, p *Params) {
 	}
 
 	if p.Volumes == StandardVolume || needBootstrap {
-		parallelRange(n, workers, func(lo, hi int) {
+		par.For(n, workers, serialBelow, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				h := ps.H[i]
 				rho := ps.Mass[i] * k.W(0, h)
@@ -65,7 +66,7 @@ func Density(ps *part.Set, nl *NeighborList, p *Params) {
 			x[i] = ps.Mass[i] // ghost without density: mass-proportional
 		}
 	}
-	parallelRange(n, workers, func(lo, hi int) {
+	par.For(n, workers, serialBelow, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			h := ps.H[i]
 			kappa := x[i] * k.W(0, h)
@@ -102,7 +103,7 @@ func ComputeIAD(ps *part.Set, nl *NeighborList, p *Params) int {
 	n := ps.NLocal
 	k := p.Kernel
 	fallbacks := make([]int, workers+1)
-	parallelRangeIndexed(n, workers, func(w, lo, hi int) {
+	par.For(n, workers, serialBelow, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			h := ps.H[i]
 			var tau [6]float64 // xx, xy, xz, yy, yz, zz

@@ -3,7 +3,6 @@ package sph
 import (
 	"math"
 	"runtime"
-	"sync"
 
 	"repro/internal/par"
 	"repro/internal/part"
@@ -47,7 +46,7 @@ func MomentumEnergy(ps *part.Set, nl *NeighborList, p *Params) ForceStats {
 	useIAD := p.Gradients == IAD
 
 	stats := make([]ForceStats, workers+1)
-	parallelRangeIndexed(n, workers, func(w, lo, hi int) {
+	par.For(n, workers, serialBelow, func(w, lo, hi int) {
 		st := &stats[w]
 		for i := lo; i < hi; i++ {
 			hi1 := ps.H[i]
@@ -138,36 +137,6 @@ func MomentumEnergy(ps *part.Set, nl *NeighborList, p *Params) ForceStats {
 		total.Interactions += st.Interactions
 	}
 	return total
-}
-
-// parallelRangeIndexed is parallelRange with the worker id passed through,
-// for lock-free per-worker accumulators.
-func parallelRangeIndexed(n, workers int, fn func(w, lo, hi int)) {
-	if workers <= 1 || n < 64 {
-		fn(workers, 0, n) // slot `workers` is the reserve accumulator
-		return
-	}
-	var wg sync.WaitGroup
-	var c par.Catcher
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			defer c.Catch()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	c.Rethrow()
 }
 
 func sym33FromArray(a [6]float64) vec.Sym33 {

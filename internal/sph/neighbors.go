@@ -3,7 +3,6 @@ package sph
 import (
 	"math"
 	"runtime"
-	"sync"
 
 	"repro/internal/kernel"
 	"repro/internal/par"
@@ -54,7 +53,7 @@ func UpdateSmoothingLengths(ps *part.Set, tr *tree.Tree, p *Params) *NeighborLis
 	target := float64(p.NNeighbors)
 
 	counts := make([]int32, n)
-	parallelRange(n, workers, func(lo, hi int) {
+	par.For(n, workers, serialBelow, func(_, lo, hi int) {
 		buf := make([]tree.Hit, 0, 2*p.NNeighbors)
 		for i := lo; i < hi; i++ {
 			h := ps.H[i]
@@ -102,7 +101,7 @@ func UpdateSmoothingLengths(ps *part.Set, tr *tree.Tree, p *Params) *NeighborLis
 	nl.Offsets[n] = total
 	nl.Nbr = make([]int32, total)
 
-	parallelRange(n, workers, func(lo, hi int) {
+	par.For(n, workers, serialBelow, func(_, lo, hi int) {
 		buf := make([]tree.Hit, 0, 2*p.NNeighbors)
 		for i := lo; i < hi; i++ {
 			buf = tr.BallSearch(ps.Pos[i], kernel.SupportRadius*ps.H[i], buf[:0])
@@ -137,7 +136,7 @@ func BuildNeighborList(ps *part.Set, tr *tree.Tree, p *Params) *NeighborList {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	counts := make([]int32, n)
-	parallelRange(n, workers, func(lo, hi int) {
+	par.For(n, workers, serialBelow, func(_, lo, hi int) {
 		buf := make([]tree.Hit, 0, 2*p.NNeighbors)
 		for i := lo; i < hi; i++ {
 			buf = tr.BallSearch(ps.Pos[i], kernel.SupportRadius*ps.H[i], buf[:0])
@@ -155,7 +154,7 @@ func BuildNeighborList(ps *part.Set, tr *tree.Tree, p *Params) *NeighborList {
 	}
 	nl.Offsets[n] = total
 	nl.Nbr = make([]int32, total)
-	parallelRange(n, workers, func(lo, hi int) {
+	par.For(n, workers, serialBelow, func(_, lo, hi int) {
 		buf := make([]tree.Hit, 0, 2*p.NNeighbors)
 		for i := lo; i < hi; i++ {
 			buf = tr.BallSearch(ps.Pos[i], kernel.SupportRadius*ps.H[i], buf[:0])
@@ -184,32 +183,6 @@ func max32(a, b int32) int32 {
 	return b
 }
 
-// parallelRange splits [0, n) across workers and waits for completion.
-// Worker panics are rethrown on the calling goroutine.
-func parallelRange(n, workers int, fn func(lo, hi int)) {
-	if workers <= 1 || n < 64 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	var c par.Catcher
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer c.Catch()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	c.Rethrow()
-}
+// serialBelow is the particle count under which the sph loops run on the
+// caller instead of fanning out (par.For's grain).
+const serialBelow = 64

@@ -497,16 +497,3 @@ func TestNeighborCSRStaysWellFormedWithNonFiniteParticle(t *testing.T) {
 	EquationOfState(ps, p)
 	MomentumEnergy(ps, nl, p)
 }
-
-func TestParallelRangeRethrowsWorkerPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("worker panic was not rethrown on the caller")
-		}
-	}()
-	parallelRange(1024, 4, func(lo, hi int) {
-		if lo > 0 {
-			panic("worker died")
-		}
-	})
-}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 
+	"repro/internal/par"
 	"repro/internal/part"
 	"repro/internal/vec"
 )
@@ -40,7 +41,7 @@ func VelocityDivCurl(ps *part.Set, nl *NeighborList, p *Params, div []float64, c
 		workers = runtime.GOMAXPROCS(0)
 	}
 	k := p.Kernel
-	parallelRange(n, workers, func(lo, hi int) {
+	par.For(n, workers, serialBelow, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			h := ps.H[i]
 			var d float64
@@ -112,7 +113,7 @@ func XSPHCorrection(ps *part.Set, nl *NeighborList, p *Params, eps float64, out 
 		workers = runtime.GOMAXPROCS(0)
 	}
 	k := p.Kernel
-	parallelRange(n, workers, func(lo, hi int) {
+	par.For(n, workers, serialBelow, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var dv vec.V3
 			hi1 := ps.H[i]

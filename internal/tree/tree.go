@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"repro/internal/par"
 	"repro/internal/sfc"
@@ -109,7 +108,7 @@ func Build(pos []vec.V3, opt Options) *Tree {
 	t.keys = make([]sfc.Key, n)
 
 	// Parallel key computation.
-	parallelFor(n, workers, func(lo, hi int) {
+	par.For(n, workers, 2048, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			t.keys[i] = sfc.Encode(sfc.Morton, box, pos[i])
 		}
@@ -201,36 +200,6 @@ func bounds(pos []vec.V3) (lo, hi vec.V3) {
 		hi = hi.Max(p)
 	}
 	return lo, hi
-}
-
-// parallelFor runs fn over [0, n) split into worker chunks and waits.
-// Worker panics are rethrown on the calling goroutine.
-func parallelFor(n, workers int, fn func(lo, hi int)) {
-	if workers <= 1 || n < 2048 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	var c par.Catcher
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer c.Catch()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	c.Rethrow()
 }
 
 // Hit is one neighbor-search result: the particle index, the squared

@@ -103,8 +103,8 @@ type Option func(*Client)
 // transports, test doubles).
 func WithHTTPClient(h *http.Client) Option { return func(c *Client) { c.http = h } }
 
-// WithPollInterval sets the polling cadence of WaitJob/WaitExperiment
-// (default 50ms).
+// WithPollInterval sets the polling cadence of the Wait helpers (default
+// 50ms).
 func WithPollInterval(d time.Duration) Option { return func(c *Client) { c.poll = d } }
 
 // WithRetry makes the Submit methods back off and retry when the server
@@ -305,9 +305,33 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		}
 		rd = bytes.NewReader(b)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	resp, err := c.send(ctx, method, path, rd)
 	if err != nil {
 		return err
+	}
+	defer resp.Body.Close()
+	if out == nil {
+		_, _ = io.Copy(io.Discard, resp.Body)
+		return nil
+	}
+	if raw, ok := out.(*[]byte); ok {
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return err
+		}
+		*raw = b
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// send issues one request under a correlation ID and returns the 2xx
+// response for the caller to read and close; any other status is decoded
+// into *APIError. A non-nil body is sent as JSON.
+func (c *Client) send(ctx context.Context, method, path string, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	if err != nil {
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -322,25 +346,13 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	req.Header.Set(RequestIDHeader, reqID)
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode >= 300 {
-		return decodeError(resp, reqID)
+		defer resp.Body.Close()
+		return nil, decodeError(resp, reqID)
 	}
-	if out == nil {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	if raw, ok := out.(*[]byte); ok {
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return err
-		}
-		*raw = b
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return resp, nil
 }
 
 // CodeQueueFull is the stable error code of a submission rejected because
@@ -367,6 +379,46 @@ func (c *Client) submit(ctx context.Context, path string, body, out any) error {
 		case <-time.After(c.retry.delay(attempt)):
 		}
 		attempt++
+	}
+}
+
+// get fetches one view or listing page.
+func get[T any](ctx context.Context, c *Client, path string) (*T, error) {
+	var out T
+	if err := c.do(ctx, http.MethodGet, path, nil, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
+// post submits body (retrying queue_full per the policy) and decodes the
+// resulting view.
+func post[T any](ctx context.Context, c *Client, path string, body any) (*T, error) {
+	var out T
+	if err := c.submit(ctx, path, body, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
+// wait polls fetch until the view reaches a terminal state (or ctx
+// expires, returning the last view with the context error).
+func wait[T interface{ Terminal() bool }](ctx context.Context, c *Client, id string,
+	fetch func(context.Context, string) (T, error)) (T, error) {
+	for {
+		v, err := fetch(ctx, id)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		if v.Terminal() {
+			return v, nil
+		}
+		select {
+		case <-ctx.Done():
+			return v, ctx.Err()
+		case <-time.After(c.poll):
+		}
 	}
 }
 
@@ -408,11 +460,7 @@ func (c *Client) Scenarios(ctx context.Context) ([]ScenarioInfo, error) {
 // With a retry policy configured, queue_full rejections back off and
 // resubmit.
 func (c *Client) Submit(ctx context.Context, spec scenario.JobSpec) (*Job, error) {
-	var out Job
-	if err := c.submit(ctx, "/v1/jobs", spec, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return post[Job](ctx, c, "/v1/jobs", spec)
 }
 
 // SubmitBatch posts an array of specs; outcomes are per-item (per-item
@@ -426,38 +474,17 @@ func (c *Client) SubmitBatch(ctx context.Context, specs []scenario.JobSpec) ([]B
 
 // Job fetches one job view.
 func (c *Client) Job(ctx context.Context, id string) (*Job, error) {
-	var out Job
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return get[Job](ctx, c, "/v1/jobs/"+id)
 }
 
 // Jobs fetches one page of the job listing.
 func (c *Client) Jobs(ctx context.Context, opts ListOptions) (*JobPage, error) {
-	var out JobPage
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs"+opts.query(), nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return get[JobPage](ctx, c, "/v1/jobs"+opts.query())
 }
 
 // WaitJob polls until the job reaches a terminal state (or ctx expires).
 func (c *Client) WaitJob(ctx context.Context, id string) (*Job, error) {
-	for {
-		job, err := c.Job(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if job.Terminal() {
-			return job, nil
-		}
-		select {
-		case <-ctx.Done():
-			return job, ctx.Err()
-		case <-time.After(c.poll):
-		}
-	}
+	return wait(ctx, c, id, c.Job)
 }
 
 // Cancel terminally cancels a queued or running job.
@@ -488,11 +515,7 @@ func (c *Client) Snapshot(ctx context.Context, id string) ([]byte, error) {
 
 // Metrics fetches the completed job's verification report, decoded.
 func (c *Client) Metrics(ctx context.Context, id string) (*verify.Report, error) {
-	var out verify.Report
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/metrics", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return get[verify.Report](ctx, c, "/v1/jobs/"+id+"/metrics")
 }
 
 // RawMetrics fetches the verification report bytes exactly as persisted.
@@ -505,47 +528,22 @@ func (c *Client) RawMetrics(ctx context.Context, id string) ([]byte, error) {
 // SubmitExperiment posts a convergence sweep; a completed response is a
 // cache hit served from the persisted regression.
 func (c *Client) SubmitExperiment(ctx context.Context, sw experiments.Sweep) (*Experiment, error) {
-	var out Experiment
-	if err := c.submit(ctx, "/v1/experiments", sw, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return post[Experiment](ctx, c, "/v1/experiments", sw)
 }
 
 // Experiment fetches one experiment view.
 func (c *Client) Experiment(ctx context.Context, id string) (*Experiment, error) {
-	var out Experiment
-	if err := c.do(ctx, http.MethodGet, "/v1/experiments/"+id, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return get[Experiment](ctx, c, "/v1/experiments/"+id)
 }
 
 // Experiments fetches one page of the experiment listing.
 func (c *Client) Experiments(ctx context.Context, opts ListOptions) (*ExperimentPage, error) {
-	var out ExperimentPage
-	if err := c.do(ctx, http.MethodGet, "/v1/experiments"+opts.query(), nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return get[ExperimentPage](ctx, c, "/v1/experiments"+opts.query())
 }
 
 // WaitExperiment polls until the experiment reaches a terminal state.
 func (c *Client) WaitExperiment(ctx context.Context, id string) (*Experiment, error) {
-	for {
-		exp, err := c.Experiment(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if exp.Terminal() {
-			return exp, nil
-		}
-		select {
-		case <-ctx.Done():
-			return exp, ctx.Err()
-		case <-time.After(c.poll):
-		}
-	}
+	return wait(ctx, c, id, c.Experiment)
 }
 
 // ScalingMember is one (arm, core count) ladder point of a scaling view.
@@ -585,47 +583,22 @@ type ScalingPage struct {
 // SubmitScaling posts a scaling sweep; a completed response is a cache hit
 // served from the persisted result.
 func (c *Client) SubmitScaling(ctx context.Context, sw experiments.ScalingSweep) (*Scaling, error) {
-	var out Scaling
-	if err := c.submit(ctx, "/v1/scaling", sw, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return post[Scaling](ctx, c, "/v1/scaling", sw)
 }
 
 // Scaling fetches one scaling-experiment view.
 func (c *Client) Scaling(ctx context.Context, id string) (*Scaling, error) {
-	var out Scaling
-	if err := c.do(ctx, http.MethodGet, "/v1/scaling/"+id, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return get[Scaling](ctx, c, "/v1/scaling/"+id)
 }
 
 // Scalings fetches one page of the scaling-experiment listing.
 func (c *Client) Scalings(ctx context.Context, opts ListOptions) (*ScalingPage, error) {
-	var out ScalingPage
-	if err := c.do(ctx, http.MethodGet, "/v1/scaling"+opts.query(), nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return get[ScalingPage](ctx, c, "/v1/scaling"+opts.query())
 }
 
 // WaitScaling polls until the scaling experiment reaches a terminal state.
 func (c *Client) WaitScaling(ctx context.Context, id string) (*Scaling, error) {
-	for {
-		scl, err := c.Scaling(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if scl.Terminal() {
-			return scl, nil
-		}
-		select {
-		case <-ctx.Done():
-			return scl, ctx.Err()
-		case <-time.After(c.poll):
-		}
-	}
+	return wait(ctx, c, id, c.Scaling)
 }
 
 // ClusterAnalysis is the wire shape of a fleet-clustering analysis view
@@ -655,47 +628,22 @@ type AnalyticsPage struct {
 // verification corpus; a completed response is either a byte-identical
 // cache hit (unchanged corpus) or awaits the fit via WaitCluster.
 func (c *Client) SubmitCluster(ctx context.Context, sp cluster.Spec) (*ClusterAnalysis, error) {
-	var out ClusterAnalysis
-	if err := c.submit(ctx, "/v1/analytics/cluster", sp, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return post[ClusterAnalysis](ctx, c, "/v1/analytics/cluster", sp)
 }
 
 // ClusterAnalysis fetches one cluster-analysis view.
 func (c *Client) ClusterAnalysis(ctx context.Context, id string) (*ClusterAnalysis, error) {
-	var out ClusterAnalysis
-	if err := c.do(ctx, http.MethodGet, "/v1/analytics/cluster/"+id, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return get[ClusterAnalysis](ctx, c, "/v1/analytics/cluster/"+id)
 }
 
 // ClusterAnalyses fetches one page of the cluster-analysis listing.
 func (c *Client) ClusterAnalyses(ctx context.Context, opts ListOptions) (*AnalyticsPage, error) {
-	var out AnalyticsPage
-	if err := c.do(ctx, http.MethodGet, "/v1/analytics/cluster"+opts.query(), nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return get[AnalyticsPage](ctx, c, "/v1/analytics/cluster"+opts.query())
 }
 
 // WaitCluster polls until the cluster analysis reaches a terminal state.
 func (c *Client) WaitCluster(ctx context.Context, id string) (*ClusterAnalysis, error) {
-	for {
-		cls, err := c.ClusterAnalysis(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if cls.Terminal() {
-			return cls, nil
-		}
-		select {
-		case <-ctx.Done():
-			return cls, ctx.Err()
-		case <-time.After(c.poll):
-		}
-	}
+	return wait(ctx, c, id, c.ClusterAnalysis)
 }
 
 // DeleteCluster forgets a terminal cluster-analysis record.
@@ -721,11 +669,7 @@ func (c *Client) DeleteScaling(ctx context.Context, id string) error {
 
 // StoreStats fetches the result-store metrics.
 func (c *Client) StoreStats(ctx context.Context) (*store.Stats, error) {
-	var out store.Stats
-	if err := c.do(ctx, http.MethodGet, "/v1/store", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return get[store.Stats](ctx, c, "/v1/store")
 }
 
 // Telemetry fetches a job's flight-recorder track: the downsampled
@@ -733,11 +677,7 @@ func (c *Client) StoreStats(ctx context.Context) (*store.Stats, error) {
 // with the watchdog rollup. Completed jobs serve the persisted track
 // (byte-identical across cache hits); live jobs serve a snapshot.
 func (c *Client) Telemetry(ctx context.Context, id string) (*telemetry.Track, error) {
-	var out telemetry.Track
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/telemetry", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return get[telemetry.Track](ctx, c, "/v1/jobs/"+id+"/telemetry")
 }
 
 // RawTelemetry fetches the telemetry track bytes exactly as persisted.
@@ -762,26 +702,11 @@ type TelemetryEvent struct {
 // terminal), fn returns false, or ctx is cancelled. A kill-requeue does not
 // end the stream — the job resumes and frames keep flowing.
 func (c *Client) StreamTelemetry(ctx context.Context, id string, fn func(TelemetryEvent) bool) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/telemetry/events", nil)
-	if err != nil {
-		return err
-	}
-	reqID := ""
-	if c.requestID != nil {
-		reqID = c.requestID()
-	}
-	if reqID == "" {
-		reqID = obs.NewRequestID()
-	}
-	req.Header.Set(RequestIDHeader, reqID)
-	resp, err := c.http.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, "/v1/jobs/"+id+"/telemetry/events", nil)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return decodeError(resp, reqID)
-	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -818,11 +743,7 @@ const (
 // the document deterministically, so cache-hit resubmissions decode to the
 // same trace.
 func (c *Client) JobTrace(ctx context.Context, id string) (*trace.Document, error) {
-	var out trace.Document
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/trace?format="+TraceFormatPerfetto, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return get[trace.Document](ctx, c, "/v1/jobs/"+id+"/trace?format="+TraceFormatPerfetto)
 }
 
 // RawJobTrace fetches the trace bytes exactly as the server renders them
@@ -862,11 +783,7 @@ func (c *Client) MetricsHistory(ctx context.Context, sel HistorySelection) (*his
 	if enc := q.Encode(); enc != "" {
 		path += "?" + enc
 	}
-	var out history.Snapshot
-	if err := c.do(ctx, http.MethodGet, path, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return get[history.Snapshot](ctx, c, path)
 }
 
 // Profile captures a CPU profile of the serving process for the given

@@ -10,9 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/server"
+	"repro/internal/store"
 	"repro/pkg/client"
 )
 
@@ -471,5 +473,69 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 	if !errors.As(err, &apiErr) || apiErr.RequestID != "trace-42" {
 		t.Fatalf("APIError.RequestID = %v, want trace-42 (err=%v)", apiErr, err)
+	}
+}
+
+// TestClientClusterListAndDelete drives the cluster-analysis listing and
+// deletion through the typed client: a completed analysis over a seeded
+// fleet pages out of ClusterAnalyses, DeleteCluster forgets it, and both a
+// fetch and a repeated delete then fail with unknown_analysis.
+func TestClientClusterListAndDelete(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := server.New(server.Options{Workers: 2, Store: st})
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	c := client.New(ts.URL, client.WithPollInterval(5*time.Millisecond))
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	// Five distinct completed sedov runs: the smallest clusterable fleet.
+	for i := 0; i < 5; i++ {
+		spec := sedovSpec(2, 216)
+		spec.Params.Extra = map[string]float64{"energy": 1 + 0.01*float64(i)}
+		job, err := c.Submit(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job, err = c.WaitJob(ctx, job.ID); err != nil || job.State != client.StateCompleted {
+			t.Fatalf("fleet job: %v %+v", err, job)
+		}
+	}
+	cls, err := c.SubmitCluster(ctx, cluster.Spec{
+		Scenario: "sedov",
+		Features: []string{cluster.GroupNorms, cluster.GroupConservation},
+		KLadder:  []int{1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cls, err = c.WaitCluster(ctx, cls.ID); err != nil || cls.State != client.StateCompleted {
+		t.Fatalf("analysis: %v %+v", err, cls)
+	}
+
+	page, err := c.ClusterAnalyses(ctx, client.ListOptions{Limit: 10})
+	if err != nil || len(page.Analyses) != 1 || page.Analyses[0].ID != cls.ID || page.NextCursor != "" {
+		t.Fatalf("analysis page %+v (%v)", page, err)
+	}
+	if page.Analyses[0].Result == nil || page.Analyses[0].Jobs != 5 {
+		t.Fatalf("listed analysis lacks its result: %+v", page.Analyses[0])
+	}
+
+	if err := c.DeleteCluster(ctx, cls.ID); err != nil {
+		t.Fatal(err)
+	}
+	var apiErr *client.APIError
+	if _, err := c.ClusterAnalysis(ctx, cls.ID); !errors.As(err, &apiErr) || apiErr.Status != 404 || apiErr.Code != "unknown_analysis" {
+		t.Fatalf("fetch after delete: %v", err)
+	}
+	if err := c.DeleteCluster(ctx, cls.ID); !errors.As(err, &apiErr) || apiErr.Status != 404 || apiErr.Code != "unknown_analysis" {
+		t.Fatalf("repeated delete: %v", err)
+	}
+	if page, err := c.ClusterAnalyses(ctx, client.ListOptions{}); err != nil || len(page.Analyses) != 0 {
+		t.Fatalf("deleted analysis still listed: %+v (%v)", page, err)
 	}
 }
